@@ -54,11 +54,17 @@ def pairwise_euclidean(points_a: Sequence[Point], points_b: Sequence[Point]) -> 
     """Return the ``len(points_a) x len(points_b)`` Euclidean distance matrix.
 
     Vectorized with numpy; used by the assignment-graph builder to test
-    reachability of every worker-task pair in one shot.
+    reachability of every worker-task pair in one shot.  The coordinate
+    differences are squared and summed in place in two ``len(a) x len(b)``
+    planes, never in a ``len(a) x len(b) x 2`` block.
     """
     if not points_a or not points_b:
         return np.zeros((len(points_a), len(points_b)))
     arr_a = np.array([(p.x, p.y) for p in points_a], dtype=float)
     arr_b = np.array([(p.x, p.y) for p in points_b], dtype=float)
-    diff = arr_a[:, None, :] - arr_b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    dx = arr_a[:, 0, None] - arr_b[None, :, 0]
+    dy = arr_a[:, 1, None] - arr_b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)

@@ -195,13 +195,20 @@ class SocialGraph:
     def indices_of(self, worker_ids: Sequence[int]) -> np.ndarray:
         """Dense indices of many worker ids at once (vectorized lookup)."""
         ids = np.asarray(worker_ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=np.int64)
+        positions = self.indices_or(ids, -1)
+        if (positions < 0).any():
+            raise GraphError(f"unknown worker id {int(ids[positions < 0][0])}")
+        return positions
+
+    def indices_or(self, worker_ids: Sequence[int], default: int) -> np.ndarray:
+        """Dense indices of many worker ids, ``default`` for ids outside the
+        graph (the non-raising form of :meth:`indices_of`)."""
+        ids = np.asarray(worker_ids, dtype=np.int64)
+        if ids.size == 0 or not len(self._ids_array):
+            return np.full(ids.shape, default, dtype=np.int64)
         positions = np.searchsorted(self._ids_array, ids)
         clipped = np.minimum(positions, len(self._ids_array) - 1)
-        bad = self._ids_array[clipped] != ids
-        if bad.any():
-            raise GraphError(f"unknown worker id {int(ids[bad][0])}")
+        positions[self._ids_array[clipped] != ids] = default
         return positions
 
     def worker_at(self, index: int) -> int:

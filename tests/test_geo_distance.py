@@ -76,3 +76,43 @@ class TestPairwise:
         for i, pa in enumerate(points_a):
             for j, pb in enumerate(points_b):
                 assert matrix[i, j] == pytest.approx(euclidean(pa, pb), abs=1e-9)
+
+    @staticmethod
+    def _stacked_formula(points_a, points_b):
+        """The W x T x 2 formulation, kept as the byte-equality oracle."""
+        if not points_a or not points_b:
+            return np.zeros((len(points_a), len(points_b)))
+        arr_a = np.array([(p.x, p.y) for p in points_a], dtype=float)
+        arr_b = np.array([(p.x, p.y) for p in points_b], dtype=float)
+        diff = arr_a[:, None, :] - arr_b[None, :, :]
+        return np.sqrt((diff**2).sum(axis=2))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0), (1, 1), (37, 53)])
+    def test_byte_identical_to_stacked_formula(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        coords = rng.normal(scale=30.0, size=(shape[0] + shape[1], 2))
+        points = [Point(float(x), float(y)) for x, y in coords]
+        points_a, points_b = points[: shape[0]], points[shape[0]:]
+        matrix = pairwise_euclidean(points_a, points_b)
+        expected = self._stacked_formula(points_a, points_b)
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_byte_identical_on_signed_zeros(self):
+        values = (0.0, -0.0, 1e-300, -1e-300, 2.5)
+        points = [Point(x, y) for x in values for y in values]
+        matrix = pairwise_euclidean(points, points)
+        assert matrix.tobytes() == self._stacked_formula(points, points).tobytes()
+        assert not np.signbit(matrix).any()
+
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=6),
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=6),
+    )
+    def test_byte_identical_property(self, coords_a, coords_b):
+        points_a = [Point(x, y) for x, y in coords_a]
+        points_b = [Point(x, y) for x, y in coords_b]
+        assert (
+            pairwise_euclidean(points_a, points_b).tobytes()
+            == self._stacked_formula(points_a, points_b).tobytes()
+        )
