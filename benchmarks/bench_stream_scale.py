@@ -14,13 +14,20 @@ before/after sampling cannot isolate a single replay) and reports
   parent can assert the segmented replay is bit-identical to the
   materialized one at every horizon.
 
-Two properties are asserted:
+The child also samples its resident set (``VmRSS``) at the end of every
+simulated day.
+
+Three properties are asserted:
 
 * exactness — segmented digest == materialized digest at both horizons;
 * sub-linear memory — growing the horizon 10x (3 -> 30 days) grows the
   segmented replay's peak RSS by at most half of what it adds to the
   materialized replay's, and the segmented long-horizon run stays below
-  the materialized one outright.
+  the materialized one outright;
+* flat memory after warm-up — on the 30-day segmented replay, the RSS at
+  the end of the last day exceeds the RSS at the end of day 3 by at most
+  ``FLAT_RSS_SLACK_MIB``, so any per-entity cache that never evicts fails
+  the bench.
 
 Each day of the horizon is an *independent* one-day synthetic world
 (day-offset entity ids, day-shifted times), so the segmented log can
@@ -55,6 +62,10 @@ PAPER_DAY_TASKS = 2500
 #: *delta* between them, which cancels the interpreter baseline RSS.
 DAYS_SHORT = 3
 DAYS_LONG = 30
+
+#: Allowed RSS growth from the end of day ``DAYS_SHORT`` to the end of the
+#: last day of the segmented long-horizon replay.
+FLAT_RSS_SLACK_MIB = 64
 
 CLUSTERS = 4
 SEED = 37
@@ -141,6 +152,16 @@ def make_segmented(days, max_cached=2):
     )
 
 
+def vm_rss_kb():
+    """The current resident set size in KiB (``None`` off Linux)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") // 1024
+
+
 def child_main(days, mode):
     """Run one (horizon, mode) replay and print a JSON measurement line."""
     import gc
@@ -156,20 +177,25 @@ def child_main(days, mode):
         gc.collect()
     events = len(log)
 
-    # incremental=False: the incremental round cache registers every
-    # worker/task id it ever sees and regrows its (rows x cols) matrices
-    # accordingly — over a multi-day horizon that dwarfs the event log in
-    # both modes and would drown the signal this bench isolates.
     runtime = StreamRuntime(
         NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
-        patience_hours=8.0, incremental=False,
+        patience_hours=8.0,
     )
+    # day_rss_kb[d] is sampled after the first round past day d's end; the
+    # last day's entry after the final round.
+    day_rss_kb = []
     started = time.perf_counter()
     try:
-        result = runtime.run()
+        while not runtime.done:
+            runtime.run(max_rounds=1)
+            while len(day_rss_kb) < min(int(runtime.clock // 24.0), days):
+                day_rss_kb.append(vm_rss_kb())
+        if len(day_rss_kb) < days:
+            day_rss_kb.append(vm_rss_kb())
     finally:
         runtime.close()
     elapsed = time.perf_counter() - started
+    result = runtime.result
 
     pairs = sorted(
         (pair.worker.worker_id, pair.task.task_id)
@@ -196,6 +222,7 @@ def child_main(days, mode):
         "seconds": elapsed,
         "events_per_second": events / elapsed if elapsed > 0 else 0.0,
         "rss_kb": int(rss_kb),
+        "day_rss_kb": day_rss_kb,
         "digest": digest,
     }))
 
@@ -267,6 +294,19 @@ def test_segmented_memory_is_sublinear_in_horizon(benchmark):
         f"segmented RSS grew {seg_delta} KiB over {DAYS_LONG - DAYS_SHORT} "
         f"extra days — more than half the materialized growth {mat_delta} KiB"
     )
+
+    day_rss = cells[(DAYS_LONG, "segmented")]["day_rss_kb"]
+    if None not in day_rss:
+        growth = day_rss[-1] - day_rss[DAYS_SHORT - 1]
+        print(
+            f"segmented {DAYS_LONG}-day RSS: {day_rss[DAYS_SHORT - 1] / 1024:.1f} "
+            f"MiB after day {DAYS_SHORT}, {day_rss[-1] / 1024:.1f} MiB at the end"
+        )
+        assert growth <= FLAT_RSS_SLACK_MIB * 1024, (
+            f"segmented RSS grew {growth / 1024:.1f} MiB between day "
+            f"{DAYS_SHORT} and day {DAYS_LONG} (allowed {FLAT_RSS_SLACK_MIB} "
+            "MiB): some per-entity state is not released"
+        )
 
     bench_artifact("stream_scale", {
         "scale": BENCH_SCALE,

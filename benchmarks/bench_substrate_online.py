@@ -37,24 +37,6 @@ def test_online_batch_size(benchmark, online_world, batch_hours):
     assert result.total_assigned > 0
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
-def test_online_round_preparation_cost(benchmark, online_world, incremental):
-    """Incremental RoundState preparation vs per-round full recomputation:
-    same assignments, lower per-round CPU."""
-    instance, arrivals, influence = online_world
-    simulator = OnlineSimulator(
-        IAAssigner(), influence, batch_hours=1.0, incremental=incremental
-    )
-    result = benchmark.pedantic(
-        lambda: simulator.run(instance, arrivals), rounds=1, iterations=1
-    )
-    print(
-        f"\n{'incremental' if incremental else 'full':>11}: "
-        f"{len(result.steps)} rounds, {result.total_assigned} assigned"
-    )
-    assert result.total_assigned > 0
-
-
 def test_online_vs_single_round(benchmark, online_world):
     """The day-start single round sees every task at once; the online loop
     must stay within the same order of assignments."""

@@ -14,6 +14,7 @@ Pipeline (paper Figure 3):
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,7 +48,12 @@ class AffinityModel:
         self._theta_matrix: np.ndarray | None = None
         self._row_of: dict[int, int] = {}
         self._unknown_topics: dict[int, np.ndarray] = {}
-        self._task_topic_cache: dict[tuple[str, ...], np.ndarray] = {}
+        # Task-document topic proportions, one row per distinct category
+        # tuple, so a call gathers its task rows in one fancy index.  Rows
+        # are written once and never change; capacity grows by doubling.
+        self._task_row_of: dict[tuple[str, ...], int] = {}
+        self._task_theta = np.zeros((0, 0))
+        self._task_lock = threading.Lock()
         self._fitted = False
 
     def fit(self, histories: Mapping[int, TaskHistory]) -> "AffinityModel":
@@ -65,6 +71,8 @@ class AffinityModel:
         self._theta_matrix = np.asarray(self.lda.doc_topic_, dtype=float)
         self._row_of = {worker_id: row for row, worker_id in enumerate(worker_ids)}
         self._unknown_topics.clear()
+        self._task_row_of.clear()
+        self._task_theta = np.zeros((0, 0))
         self._fitted = True
         return self
 
@@ -111,15 +119,38 @@ class AffinityModel:
             theta[unknown] = 1.0 / self.effective_topics
         return theta
 
+    def _task_row(self, key: tuple[str, ...]) -> int:
+        """Row of ``key`` in the task-topic matrix, inferred on first use.
+
+        A row is written (and the matrix swapped on growth) before its key
+        is published, so a lock-free hit always reads a filled row; misses
+        serialize so two new keys never claim the same row.
+        """
+        row = self._task_row_of.get(key)
+        if row is not None:
+            return row
+        with self._task_lock:
+            row = self._task_row_of.get(key)
+            if row is not None:
+                return row
+            theta = self.lda.infer(list(key))
+            row = len(self._task_row_of)
+            if row == self._task_theta.shape[0]:
+                grown = np.zeros(
+                    (max(2 * row, 64), theta.shape[0]), dtype=theta.dtype
+                )
+                if row:
+                    grown[:row] = self._task_theta
+                self._task_theta = grown
+            self._task_theta[row] = theta
+            self._task_row_of[key] = row
+            return row
+
     def task_topics(self, categories: Sequence[str]) -> np.ndarray:
         """Topic proportions of a task document (cached by category tuple)."""
         self._require_fitted()
-        key = tuple(categories)
-        theta = self._task_topic_cache.get(key)
-        if theta is None:
-            theta = self.lda.infer(list(key))
-            self._task_topic_cache[key] = theta
-        return theta
+        row = self._task_row(tuple(categories))
+        return self._task_theta[row]
 
     def affinity(self, worker_id: int, task: Task) -> float:
         """``P_aff(w, s)`` for one worker-task pair."""
@@ -132,11 +163,19 @@ class AffinityModel:
 
         The worker side is one dense gather from the fit-time topic matrix
         (:meth:`topic_matrix`) — no per-worker Python stacking — and is
-        bit-identical to the historical per-vector path.
+        bit-identical to the historical per-vector path.  The task side is
+        one gather from the per-category-tuple task-topic matrix; only
+        unseen category tuples run LDA inference.
         """
         self._require_fitted()
         if not worker_ids or not tasks:
             return np.zeros((len(worker_ids), len(tasks)))
         theta_w = self.topic_matrix(worker_ids)
-        theta_s = np.stack([self.task_topics(t.categories) for t in tasks])
+        task_row = self._task_row
+        rows = np.fromiter(
+            (task_row(tuple(t.categories)) for t in tasks),
+            dtype=np.int64,
+            count=len(tasks),
+        )
+        theta_s = self._task_theta[rows]
         return theta_w @ theta_s.T

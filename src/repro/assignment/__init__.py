@@ -29,7 +29,6 @@ from repro.assignment.base import (
     Assigner,
     FeasiblePairs,
     PreparedInstance,
-    RoundState,
     compute_feasible,
 )
 from repro.assignment.candidates import CandidatePair, candidate_pairs
@@ -54,7 +53,6 @@ __all__ = [
     "Assigner",
     "FeasiblePairs",
     "PreparedInstance",
-    "RoundState",
     "compute_feasible",
     "CandidatePair",
     "candidate_pairs",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -174,169 +173,6 @@ class PreparedInstance:
             used_columns.add(column)
             assignment.add(self.instance.tasks[column], self.instance.workers[row])
         return assignment
-
-
-class RoundState:
-    """Incremental round preparation for online (batched-arrival) loops.
-
-    Rebuilding a :class:`PreparedInstance` from scratch every batch round
-    recomputes the distance, feasibility and influence matrices for the
-    *whole* pool, although between rounds the pool only gains newly arrived
-    workers and newly published tasks (assigned/expired entries merely
-    leave).  ``RoundState`` keeps per-worker rows and per-task columns of
-    those matrices in growing buffers keyed by (worker, task) identity, so
-    each round only computes the rectangles
-
-    * new workers x current tasks, and
-    * previously seen workers x new tasks.
-
-    Every cached quantity is time-independent (distances, influence values,
-    location entropy); the time-dependent feasibility mask is re-derived
-    from the cached distances each round, which keeps results bit-identical
-    to a full per-round recomputation.
-    """
-
-    def __init__(self, influence: InfluenceModel | None = None) -> None:
-        self.influence = influence
-        self._row_of: dict[int, int] = {}
-        self._col_of: dict[int, int] = {}
-        self._row_worker: list[Worker] = []
-        self._col_task: list[Task] = []
-        self._distance = np.zeros((0, 0))
-        self._influence_vals = np.zeros((0, 0))
-        self._valid = np.zeros((0, 0), dtype=bool)
-        self._entropy: dict[int, float] = {}
-
-    # ---------------------------------------------------------------- buffers
-    def _ensure_capacity(self, rows: int, columns: int) -> None:
-        grown_rows = max(self._distance.shape[0], 4)
-        while grown_rows < rows:
-            grown_rows *= 2
-        grown_columns = max(self._distance.shape[1], 4)
-        while grown_columns < columns:
-            grown_columns *= 2
-        if (grown_rows, grown_columns) == self._distance.shape:
-            return
-        old_rows, old_columns = self._distance.shape
-
-        def regrow(buffer: np.ndarray) -> np.ndarray:
-            fresh = np.zeros((grown_rows, grown_columns), dtype=buffer.dtype)
-            fresh[:old_rows, :old_columns] = buffer
-            return fresh
-
-        self._distance = regrow(self._distance)
-        self._influence_vals = regrow(self._influence_vals)
-        self._valid = regrow(self._valid)
-
-    def _register(self, workers: Sequence[Worker], tasks: Sequence[Task]) -> tuple[list[int], list[int]]:
-        """Assign buffer rows/columns to unseen entities; returns the
-        positions (within ``workers`` / ``tasks``) whose cells need filling."""
-        new_worker_positions: list[int] = []
-        for position, worker in enumerate(workers):
-            row = self._row_of.get(worker.worker_id)
-            if row is None:
-                row = len(self._row_worker)
-                self._row_of[worker.worker_id] = row
-                self._row_worker.append(worker)
-                new_worker_positions.append(position)
-            elif self._row_worker[row] != worker:
-                # Same id, different attributes: every cached cell of the
-                # row is stale, including columns absent from this round.
-                self._row_worker[row] = worker
-                self._valid[row, :] = False
-                new_worker_positions.append(position)
-        new_task_positions: list[int] = []
-        for position, task in enumerate(tasks):
-            column = self._col_of.get(task.task_id)
-            if column is None:
-                column = len(self._col_task)
-                self._col_of[task.task_id] = column
-                self._col_task.append(task)
-                new_task_positions.append(position)
-            elif self._col_task[column] != task:
-                self._col_task[column] = task
-                self._valid[:, column] = False
-                self._entropy.pop(task.task_id, None)
-                new_task_positions.append(position)
-        self._ensure_capacity(len(self._row_worker), len(self._col_task))
-        return new_worker_positions, new_task_positions
-
-    def _fill(self, workers: Sequence[Worker], tasks: Sequence[Task],
-              rows: np.ndarray, columns: np.ndarray) -> None:
-        """Compute and store the ``workers x tasks`` rectangle."""
-        if len(workers) == 0 or len(tasks) == 0:
-            return
-        grid = np.ix_(rows, columns)
-        self._distance[grid] = pairwise_euclidean(
-            [w.location for w in workers], [t.location for t in tasks]
-        )
-        if self.influence is not None:
-            self._influence_vals[grid] = self.influence.influence_matrix(
-                list(workers), list(tasks)
-            )
-        self._valid[grid] = True
-
-    # ------------------------------------------------------------------- API
-    def prepare(self, instance: SCInstance) -> PreparedInstance:
-        """A :class:`PreparedInstance` for this round, with the feasibility,
-        influence and entropy caches pre-populated incrementally."""
-        workers, tasks = instance.workers, instance.tasks
-        prepared = PreparedInstance(instance, self.influence)
-        if not workers or not tasks:
-            return prepared
-
-        new_worker_positions, new_task_positions = self._register(workers, tasks)
-        rows = np.fromiter(
-            (self._row_of[w.worker_id] for w in workers), dtype=np.int64, count=len(workers)
-        )
-        columns = np.fromiter(
-            (self._col_of[t.task_id] for t in tasks), dtype=np.int64, count=len(tasks)
-        )
-
-        # Rectangle 1: new workers x every current task.
-        self._fill(
-            [workers[p] for p in new_worker_positions], tasks,
-            rows[new_worker_positions], columns,
-        )
-        # Rectangle 2: previously seen workers x new tasks.
-        fresh_rows = set(new_worker_positions)
-        old_positions = [p for p in range(len(workers)) if p not in fresh_rows]
-        self._fill(
-            [workers[p] for p in old_positions],
-            [tasks[p] for p in new_task_positions],
-            rows[old_positions], columns[new_task_positions],
-        )
-        # Safety net: any cell still unfilled (cannot happen while pools are
-        # append-only, but identity invalidation keeps this exact).
-        sub_valid = self._valid[np.ix_(rows, columns)]
-        if not sub_valid.all():
-            stale = np.nonzero(~sub_valid.all(axis=1))[0]
-            self._fill([workers[p] for p in stale], tasks, rows[stale], columns)
-
-        distance = self._distance[np.ix_(rows, columns)]
-        radius = np.array([w.reachable_km for w in workers])[:, None]
-        speed = np.array([w.speed_kmh for w in workers])[:, None]
-        deadline = np.array([t.expiry_time for t in tasks])[None, :]
-        mask = (distance <= radius) & (
-            instance.current_time + distance / speed <= deadline
-        )
-        prepared.__dict__["feasible"] = FeasiblePairs(
-            workers=tuple(workers),
-            tasks=tuple(tasks),
-            distance_km=distance,
-            mask=mask,
-        )
-        prepared.__dict__["influence_matrix"] = self._influence_vals[
-            np.ix_(rows, columns)
-        ]
-
-        unseen = [t for t in tasks if t.task_id not in self._entropy]
-        if unseen:
-            self._entropy.update(entropy_of_tasks(unseen, instance.venue_visits))
-        prepared.__dict__["entropy_by_task"] = {
-            t.task_id: self._entropy[t.task_id] for t in tasks
-        }
-        return prepared
 
 
 class Assigner(abc.ABC):

@@ -11,12 +11,9 @@ window.
 
 The influence components are fitted once from history (they do not depend
 on the intra-day arrival order), so the online loop reuses one
-:class:`~repro.influence.InfluenceModel` across rounds.  Round preparation
-is incremental: a :class:`~repro.assignment.RoundState` caches per-worker
-influence/distance rows and per-task columns keyed by identity, so each
-batch round only computes the rectangles introduced by newly arrived
-workers and newly published tasks instead of rebuilding the prepared
-instance from scratch.
+:class:`~repro.influence.InfluenceModel` across rounds; its per-location
+column cache carries the reuse between rounds, and every round builds a
+plain :class:`~repro.assignment.PreparedInstance` from the live pools.
 
 .. note::
    The event-driven :class:`~repro.stream.StreamRuntime` is a strict
@@ -26,8 +23,7 @@ instance from scratch.
    :meth:`OnlineSimulator.run` bit-identically (a regression-tested golden
    cross-check), and adds count/hybrid/latency-adaptive micro-batching,
    churn/cancellation/relocation events, multi-day replay, latency-budget
-   admission control, a live spatial task index, wait/latency metrics, and
-   checkpoint/replay.  This module remains the compact reference
+   admission control, wait/latency metrics, and checkpoint/replay.  This module remains the compact reference
    implementation the streaming runtime is pinned against — the scenario
    differential matrix in ``tests/scenarios/`` cross-checks every
    scenario class against it.
@@ -38,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.assignment.base import Assigner, PreparedInstance, RoundState
+from repro.assignment.base import Assigner, PreparedInstance
 from repro.data.dataset import CheckInDataset
 from repro.data.instance import InstanceBuilder, SCInstance
 from repro.entities import Assignment, Task, Worker
@@ -170,12 +166,6 @@ class OnlineSimulator:
     patience_hours:
         If set, an unassigned worker goes offline this many hours after
         arriving; ``None`` reproduces the paper's "online until assigned".
-    incremental:
-        When True (default) rounds are prepared through a shared
-        :class:`~repro.assignment.RoundState`, computing only the matrix
-        rectangles introduced by new arrivals/publications.  False rebuilds
-        every round from scratch — the reference path the incremental one is
-        regression-tested against.
     """
 
     def __init__(
@@ -184,7 +174,6 @@ class OnlineSimulator:
         influence_model: InfluenceModel | None,
         batch_hours: float = 1.0,
         patience_hours: float | None = None,
-        incremental: bool = True,
     ) -> None:
         if batch_hours <= 0:
             raise ValueError(f"batch_hours must be positive, got {batch_hours}")
@@ -194,7 +183,6 @@ class OnlineSimulator:
         self.influence_model = influence_model
         self.batch_hours = batch_hours
         self.patience_hours = patience_hours
-        self.incremental = incremental
 
     def run(
         self,
@@ -222,7 +210,6 @@ class OnlineSimulator:
         arrivals = sorted(arrivals, key=lambda a: a.arrival_time)
 
         result = OnlineResult()
-        round_state = RoundState(self.influence_model)
         online: dict[int, Worker] = {}
         arrived_at: dict[int, float] = {}
         open_tasks: dict[int, Task] = {}
@@ -272,10 +259,11 @@ class OnlineSimulator:
                     sorted(online.values(), key=lambda w: w.worker_id)
                 ).with_tasks(sorted(open_tasks.values(), key=lambda s: s.task_id))
                 round_instance.current_time = current
-                if self.incremental:
-                    prepared = round_state.prepare(round_instance)
-                else:
-                    prepared = PreparedInstance(round_instance, self.influence_model)
+                prepared = PreparedInstance(round_instance, self.influence_model)
+                # Feasibility and influence are preparation, not assignment:
+                # build them before the assigner's timer starts.
+                prepared.feasible
+                prepared.influence_matrix
                 started = time.perf_counter()
                 assignment = self.assigner.assign(prepared)
                 elapsed = time.perf_counter() - started

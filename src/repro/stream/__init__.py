@@ -9,8 +9,8 @@ day loop:
   dataset days or synthetic generators);
 * :mod:`repro.stream.scheduler` — pluggable micro-batch triggers (count,
   time window, hybrid, latency-adaptive);
-* :mod:`repro.stream.state` — live worker/task pools with an incrementally
-  maintained spatial index, reusing the PR-1 round caches;
+* :mod:`repro.stream.state` — live worker/task pools, from which every
+  round's prepared instance is built;
 * :mod:`repro.stream.metrics` — wait-time/latency percentiles (backed by
   the mergeable, checkpointable :mod:`repro.obs` histograms), throughput,
   expiry/churn rates;

@@ -702,7 +702,6 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
         task = log.task_at(int(event_index))
         state.tasks[task.task_id] = task
         state.published_at[task.task_id] = float(published)
-        state.task_index.insert(task.location, task.task_id)
 
     for worker_index, task_index in zip(
         payload["assigned_worker_events"], payload["assigned_task_events"]

@@ -13,8 +13,8 @@ batched :class:`~repro.framework.online.OnlineSimulator`:
   ``OnlineSimulator.run`` — pinned by a golden cross-check test;
 * count/hybrid/adaptive triggers, churn/cancellation/relocation events,
   admission control (:class:`AdmissionController` — defer or shed low-value
-  task admissions when round latency blows a budget), live spatial queries,
-  wait/latency metrics and checkpoint/replay go beyond it.
+  task admissions when round latency blows a budget), wait/latency metrics
+  and checkpoint/replay go beyond it.
 
 Rounds can execute **sharded**: :class:`ShardExecutor` splits each round's
 pools along a :class:`~repro.stream.shards.ShardLayout` (planned once per
@@ -60,7 +60,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.assignment.base import Assigner, PreparedInstance, RoundState
+from repro.assignment.base import Assigner, PreparedInstance
 from repro.assignment.lexico import LexicographicCostAssigner
 from repro.assignment.partitioned import bucket_pools, merge_assignments
 from repro.data.instance import SCInstance
@@ -364,17 +364,16 @@ class ShardExecutor:
 
     Each round: bucket the live pools by
     :meth:`~repro.stream.shards.ShardLayout.shard_of`, prepare every
-    non-empty shard through its own persistent
-    :class:`~repro.assignment.RoundState` (the PR-1 incremental rectangles,
-    per shard), solve the shards on the configured backend, and merge the
-    per-shard assignments in ascending shard order.
+    non-empty shard as a fresh :class:`~repro.assignment.PreparedInstance`,
+    solve the shards on the configured backend, and merge the per-shard
+    assignments in ascending shard order.
 
     In the default (non-pipelined) mode preparation happens in the calling
     thread — prepared instances are fully materialized (feasibility,
     influence, entropy) before dispatch, so workers only run the solver.
     In **pipelined** mode (``run_round(..., pipeline=True)``) the phases
     overlap: on the thread backend each shard's prepare+solve runs as one
-    unit on the pool (per-shard ``RoundState`` objects are disjoint and the
+    unit on the pool (per-shard prepared instances are disjoint and the
     influence model's column caches are lock-protected, so concurrent
     prepares are safe); on the process backend preparation stays in the
     caller — the caches live in this process — but each shard is submitted
@@ -447,7 +446,6 @@ class ShardExecutor:
         self.max_workers = max_workers or min(
             layout.num_shards, os.cpu_count() or 1
         )
-        self.round_states: dict[int, RoundState] = {}
         #: Warm-start duals carried between rounds, per shard.  Purely an
         #: accelerator: solves seeded from these states are pinned
         #: bit-identical to cold solves, and the dict is dropped whenever
@@ -477,14 +475,7 @@ class ShardExecutor:
         return self.rngs[shard]
 
     # ----------------------------------------------------------------- round
-    def _prepare_shard(
-        self, shard: int, state: StreamState, sub_instance: SCInstance
-    ) -> PreparedInstance:
-        if state.incremental:
-            round_state = self.round_states.get(shard)
-            if round_state is None:
-                round_state = self.round_states[shard] = RoundState(self.influence)
-            return round_state.prepare(sub_instance)
+    def _prepare_shard(self, sub_instance: SCInstance) -> PreparedInstance:
         prepared = PreparedInstance(sub_instance, self.influence)
         # Force the lazy caches now, in the calling thread (see class doc).
         prepared.feasible
@@ -613,7 +604,6 @@ class ShardExecutor:
     def _prepare_and_solve(
         self,
         shard: int,
-        state: StreamState,
         sub_instance: SCInstance,
         assigner: Assigner,
         warm=None,
@@ -631,7 +621,7 @@ class ShardExecutor:
         """
         started = time.perf_counter()
         prepare_start_ns = time.time_ns()
-        prepared = self._prepare_shard(shard, state, sub_instance)
+        prepared = self._prepare_shard(sub_instance)
         prepared_at = time.perf_counter()
         solve_start_ns = time.time_ns()
         stats = None
@@ -767,7 +757,7 @@ class ShardExecutor:
             pool = self._pool_executor()
             futures = [
                 pool.submit(
-                    self._prepare_and_solve, shard, state, sub, assigner,
+                    self._prepare_and_solve, shard, sub, assigner,
                     self.warm_states.get(shard), use_warm,
                 )
                 for shard, sub in shard_instances
@@ -792,7 +782,7 @@ class ShardExecutor:
             for shard, sub_instance in shard_instances:
                 started = time.perf_counter()
                 prepare_start_ns = time.time_ns()
-                prepared = self._prepare_shard(shard, state, sub_instance)
+                prepared = self._prepare_shard(sub_instance)
                 if tracer.enabled:
                     emit(
                         "shard.prepare",
@@ -822,7 +812,7 @@ class ShardExecutor:
             for shard, sub_instance in shard_instances:
                 started = time.perf_counter()
                 prepare_start_ns = time.time_ns()
-                work.append((shard, self._prepare_shard(shard, state, sub_instance)))
+                work.append((shard, self._prepare_shard(sub_instance)))
                 prepare_seconds += time.perf_counter() - started
                 if tracer.enabled:
                     emit(
@@ -995,11 +985,6 @@ class StreamRuntime:
         (strict, like the online simulator); explicit
         :class:`~repro.stream.events.WorkerChurnEvent` entries work with or
         without it.
-    incremental:
-        Prepare rounds through the shared PR-1 cache rectangles (True,
-        default) or from scratch every round (False, the reference path).
-    index_cell_km:
-        Cell size of the live open-task grid index.
     rng:
         Optional generator for stochastic policies; its state is captured
         by checkpoints so replays stay deterministic.
@@ -1057,8 +1042,6 @@ class StreamRuntime:
         log: EventLog,
         end_time: float | None = None,
         patience_hours: float | None = None,
-        incremental: bool = True,
-        index_cell_km: float = 25.0,
         rng: np.random.Generator | None = None,
         shards: int | None = None,
         executor: str = "serial",
@@ -1104,12 +1087,7 @@ class StreamRuntime:
                 rebalancer=rebalance, log=log, obs=self.obs, warm=warm,
             )
             self.shard_request = {"shards": shards, "cell_km": shard_cell_km}
-        self.state = StreamState(
-            base_instance,
-            influence_model,
-            incremental=incremental,
-            index_cell_km=index_cell_km,
-        )
+        self.state = StreamState(base_instance, influence_model)
         self._result = StreamResult()
         self._cursor = 0
         self._clock = base_instance.current_time
@@ -1560,8 +1538,6 @@ class StreamRuntime:
         base_instance: SCInstance,
         log: EventLog,
         patience_hours: float | None = None,
-        incremental: bool = True,
-        index_cell_km: float = 25.0,
         rng: np.random.Generator | None = None,
         shards: int | None = None,
         executor: str = "serial",
@@ -1594,8 +1570,6 @@ class StreamRuntime:
             base_instance,
             log,
             patience_hours=patience_hours,
-            incremental=incremental,
-            index_cell_km=index_cell_km,
             rng=rng,
             shards=shards,
             executor=executor,

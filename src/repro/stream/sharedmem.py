@@ -10,8 +10,8 @@ with :mod:`multiprocessing.shared_memory`:
   read-only shared blocks **once per run**; pool workers attach them in
   their initializer and rebuild entities from payload *slots*.
 * :class:`ShardScratch` is one reusable shared block per shard holding the
-  round's :class:`~repro.assignment.RoundState` rectangles (distance,
-  feasibility mask, influence, entropy) plus the slot vectors.  It grows
+  round's prepared rectangles (distance, feasibility mask, influence,
+  entropy) plus the slot vectors.  It grows
   geometrically and is rewritten in place each round, so the per-round
   message to a worker shrinks to a tiny header dict — block name, shapes
   and the round clock.
@@ -22,9 +22,9 @@ with :mod:`multiprocessing.shared_memory`:
   via ``build_assignment`` (which re-validates feasibility), keeping the
   merged round bit-identical to the serial backend.
 
-Preparation always stays in the calling process — the incremental round
-caches and the influence model's column caches live there — so the solve,
-the CPU-bound part, is all that crosses the process boundary.
+Preparation always stays in the calling process — the influence model's
+column caches live there — so the solve, the CPU-bound part, is all that
+crosses the process boundary.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ def solve_shared_shard(
         all_worker_ids=(),
     )
     prepared = PreparedInstance(instance, None)
-    # Inject the shared rectangles zero-copy, exactly like RoundState does
-    # for its incremental caches — the lazy properties never recompute.
+    # Inject the shared rectangles zero-copy into the cached properties, so
+    # the lazy properties never recompute.
     prepared.__dict__["feasible"] = FeasiblePairs(
         workers=workers,
         tasks=tasks,

@@ -1,18 +1,13 @@
-"""Live runtime state: worker/task pools with a live spatial index.
+"""Live runtime state: the online worker and open task pools.
 
 :class:`StreamState` is the mutable heart of the streaming runtime.  It
 keeps the online worker pool and the open task pool, applies drained events
-to them, and maintains two acceleration structures incrementally:
-
-* a :class:`~repro.geo.GridIndex` over the open tasks, updated on every
-  publish/assign/expire/cancel, so "which tasks could this worker reach" is
-  an output-sensitive lookup at any instant (:meth:`tasks_near`) instead of
-  a pool scan;
-* the PR-1 round caches — a shared :class:`~repro.assignment.RoundState`
-  whose distance/influence rectangles (and the
-  :class:`~repro.influence.InfluenceModel` per-task columns behind them)
-  persist across rounds, so each round only pays for newly arrived workers
-  and newly published tasks.
+to them, and builds each round's
+:class:`~repro.assignment.PreparedInstance` from the live pools.  The only
+cache that outlives a round is the
+:class:`~repro.influence.InfluenceModel`'s per-location column store, which
+is bounded; everything sized by the pool is rebuilt per round, so memory
+follows the live pools rather than the horizon.
 
 Pool mutation semantics mirror
 :class:`~repro.framework.online.OnlineSimulator` exactly (re-arrival
@@ -22,12 +17,9 @@ which is what makes the runtime's golden cross-check bit-identical.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.assignment.base import Assigner, PreparedInstance, RoundState
+from repro.assignment.base import Assigner, PreparedInstance
 from repro.data.instance import SCInstance
 from repro.entities import Assignment, Task, Worker
-from repro.geo import GridIndex, Point
 from repro.influence import InfluenceModel
 from repro.stream.events import (
     KIND_ARRIVAL,
@@ -48,7 +40,7 @@ from repro.stream.events import (
 
 
 class StreamState:
-    """Mutable pools + incremental indexes between assignment rounds.
+    """Mutable pools between assignment rounds.
 
     Parameters
     ----------
@@ -57,33 +49,19 @@ class StreamState:
         histories, social network, venue visits, ``all_worker_ids``.
     influence:
         The fitted influence model reused by every round (or ``None``).
-    incremental:
-        When True, rounds are prepared through a shared
-        :class:`~repro.assignment.RoundState`; False rebuilds each round
-        from scratch (the regression reference, exactly as in the online
-        simulator).
-    index_cell_km:
-        Cell size of the live task index; defaults to the paper's 25 km
-        reachable radius so a range query touches O(9) cells.
     """
 
     def __init__(
         self,
         base_instance: SCInstance,
         influence: InfluenceModel | None,
-        incremental: bool = True,
-        index_cell_km: float = 25.0,
     ) -> None:
         self.base_instance = base_instance
         self.influence = influence
-        self.incremental = incremental
-        self.round_state = RoundState(influence)
         self.workers: dict[int, Worker] = {}
         self.tasks: dict[int, Task] = {}
         self.arrived_at: dict[int, float] = {}
         self.published_at: dict[int, float] = {}
-        self.task_index: GridIndex[int] = GridIndex(index_cell_km)
-        self._index_cell_km = index_cell_km
 
     # -------------------------------------------------------------- pools
     @property
@@ -96,11 +74,8 @@ class StreamState:
         """Tasks currently open."""
         return len(self.tasks)
 
-    def _index_remove(self, task: Task) -> None:
-        self.task_index.remove(task.location, task.task_id)
-
     def apply(self, event: StreamEvent) -> tuple[bool, bool]:
-        """Apply one drained event to the pools and the live index.
+        """Apply one drained event to the pools.
 
         Returns ``(removed_task, removed_worker)`` — whether the event
         actually retired a pooled entity (expiry/cancel/churn of something
@@ -146,16 +121,10 @@ class StreamState:
             self.workers[entity_id] = worker
             self.arrived_at[entity_id] = time
         elif kind == KIND_PUBLISH:
-            previous = self.tasks.get(entity_id)
-            if previous is not None:
-                self._index_remove(previous)
             self.tasks[entity_id] = task
             self.published_at[entity_id] = time
-            self.task_index.insert(task.location, entity_id)
         elif kind == KIND_CANCEL or kind == KIND_EXPIRY:
-            pooled = self.tasks.pop(entity_id, None)
-            if pooled is not None:
-                self._index_remove(pooled)
+            if self.tasks.pop(entity_id, None) is not None:
                 self.published_at.pop(entity_id, None)
                 return True, False
         elif kind == KIND_CHURN:
@@ -165,9 +134,6 @@ class StreamState:
         elif kind == KIND_RELOCATE:
             # A live worker's location update: the pooled worker object is
             # replaced (arrival time unchanged — the wait keeps accruing).
-            # The task grid index holds tasks only, so nothing spatial moves
-            # here; the RoundState rectangles invalidate themselves because
-            # the same id now maps to a different (frozen) Worker.
             if entity_id in self.workers:
                 self.workers[entity_id] = worker
         else:  # pragma: no cover - new event kinds must be wired explicitly
@@ -251,7 +217,6 @@ class StreamState:
         expired = [task for task in self.tasks.values() if task.expiry_time < now]
         for task in expired:
             del self.tasks[task.task_id]
-            self._index_remove(task)
             self.published_at.pop(task.task_id, None)
         return expired
 
@@ -269,12 +234,6 @@ class StreamState:
             self.arrived_at.pop(worker_id, None)
         return churned
 
-    # ------------------------------------------------------------- queries
-    def tasks_near(self, center: Point, radius_km: float) -> Iterator[Task]:
-        """Open tasks within ``radius_km`` of ``center`` (live index)."""
-        for _, task_id in self.task_index.query_radius(center, radius_km):
-            yield self.tasks[task_id]
-
     # -------------------------------------------------------------- rounds
     def round_instance(self, now: float) -> SCInstance:
         """The current pools as a deterministic :class:`SCInstance`."""
@@ -285,11 +244,16 @@ class StreamState:
         return instance
 
     def prepare_round(self, now: float) -> PreparedInstance:
-        """A prepared instance for an assignment round at ``now``."""
-        instance = self.round_instance(now)
-        if self.incremental:
-            return self.round_state.prepare(instance)
-        return PreparedInstance(instance, self.influence)
+        """A prepared instance for an assignment round at ``now``.
+
+        Feasibility and the influence matrix are built here, so the round's
+        prepare phase carries them; ``entropy_by_task`` stays lazy because
+        only EIA reads it.
+        """
+        prepared = PreparedInstance(self.round_instance(now), self.influence)
+        prepared.feasible
+        prepared.influence_matrix
+        return prepared
 
     def run_assignment(
         self, assigner: Assigner, now: float
@@ -311,14 +275,13 @@ class StreamState:
         """Retire matched pairs from the pools; returns per-pair waits.
 
         Shared by the plain and sharded round paths — however an
-        assignment was produced, retirement (pools, live index, timestamp
-        maps) happens here so the state stays consistent.
+        assignment was produced, retirement (pools, timestamp maps) happens
+        here so the state stays consistent.
         """
         waits: list[tuple[float, float]] = []
         for pair in assignment:
             del self.workers[pair.worker.worker_id]
-            task = self.tasks.pop(pair.task.task_id)
-            self._index_remove(task)
+            del self.tasks[pair.task.task_id]
             waits.append(
                 (
                     now - self.published_at.pop(pair.task.task_id),

@@ -143,3 +143,98 @@ class TestDenseTopicMatrix:
         extended[7] = history_factory(7, [(0, 0, t, ("museum",)) for t in range(6)])
         model.fit(extended)
         assert not np.allclose(model.worker_topics(7), uniform)
+
+
+class TestTaskTopicMatrix:
+    """Task rows are gathered from a per-category-tuple matrix; the result
+    must be byte-identical to stacking one inferred vector per task."""
+
+    @staticmethod
+    def stacked(model, worker_ids, tasks):
+        theta_w = np.stack([model.worker_topics(w) for w in worker_ids])
+        theta_s = np.stack([model.lda.infer(list(t.categories)) for t in tasks])
+        return theta_w @ theta_s.T
+
+    def test_gather_byte_identical_to_stacked_rows(self, topical_histories):
+        model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+        words = ("restaurant", "cafe", "bar", "nightclub")
+        # 84 distinct tuples (forces the matrix to grow past its first
+        # capacity), each used twice, plus an out-of-vocabulary one.
+        tuples = [(a,) for a in words]
+        tuples += [(a, b) for a in words for b in words]
+        tuples += [(a, b, c) for a in words for b in words for c in words]
+        tuples += tuples + [("museum",)]
+        tasks = [make_task(c, task_id=i) for i, c in enumerate(tuples)]
+        worker_ids = [2, 0, 99, 1, 7]  # 99 and 7 are unknown: uniform prior
+        expected = self.stacked(model, worker_ids, tasks)
+        for _ in range(2):  # cold, then every row cached
+            matrix = model.affinity_matrix(worker_ids, tasks)
+            assert matrix.dtype == expected.dtype
+            assert matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
+
+    def test_one_inference_per_category_tuple(self, topical_histories):
+        model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+        calls = []
+        infer = model.lda.infer
+        model.lda.infer = lambda document: calls.append(tuple(document)) or infer(document)
+        tasks = [make_task(("bar",), 0), make_task(("cafe",), 1), make_task(("bar",), 2)]
+        model.affinity_matrix([0, 1], tasks)
+        model.affinity_matrix([1], tasks[::-1])
+        model.task_topics(("cafe",))
+        assert sorted(calls) == [("bar",), ("cafe",)]
+
+    def test_empty_task_list(self, topical_histories):
+        model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+        assert model.affinity_matrix([0, 99], []).shape == (2, 0)
+        assert model.affinity_matrix([], [make_task(("bar",))]).shape == (0, 1)
+
+    def test_refit_clears_task_rows(self, topical_histories, history_factory):
+        model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+        model.task_topics(("museum",))
+        extended = dict(topical_histories)
+        extended[7] = history_factory(7, [(0, 0, t, ("museum",)) for t in range(6)])
+        model.fit(extended)
+        np.testing.assert_array_equal(
+            model.task_topics(("museum",)), model.lda.infer(["museum"])
+        )
+
+    def test_concurrent_misses_keep_rows_consistent(self, topical_histories):
+        import sys
+        import threading
+
+        words = ("restaurant", "cafe", "bar", "nightclub")
+        tuples = [(a, b, c) for a in words for b in words for c in words]
+        worker_ids = [0, 1, 2]
+        chunks = [
+            [make_task(c, task_id=i) for i, c in enumerate(tuples[k::3] + tuples[::5])]
+            for k in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # every trial starts from an empty matrix
+                model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+                expected = [self.stacked(model, worker_ids, c) for c in chunks]
+                results: dict[int, np.ndarray] = {}
+                start = threading.Barrier(9)
+
+                def work(index):
+                    start.wait(timeout=10)
+                    results[index] = model.affinity_matrix(
+                        worker_ids, chunks[index % 3]
+                    )
+
+                threads = [
+                    threading.Thread(target=work, args=(i,)) for i in range(9)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(model._task_row_of) == len(tuples)
+                for index in range(9):
+                    assert results[index].tobytes() == expected[index % 3].tobytes()
+        finally:
+            sys.setswitchinterval(interval)

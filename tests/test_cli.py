@@ -285,13 +285,14 @@ class TestStreamObservability:
         names = {event["name"] for event in payload["traceEvents"]}
         assert {"shard.prepare", "shard.solve", "round.merge"} <= names
 
-    def test_metrics_port_serves_valid_exposition(self, capsys):
+    def test_metrics_port_serves_valid_exposition(self, capsys, monkeypatch):
         import socket
         import threading
         import time
         import urllib.request
 
         from repro.obs import validate_exposition
+        from repro.stream import StreamRuntime
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -299,12 +300,25 @@ class TestStreamObservability:
         url = f"http://127.0.0.1:{port}/metrics"
         scraped: list[str] = []
         done = threading.Event()
+        first_scrape = threading.Event()
+
+        # The run must not finish before a scrape lands: hold every run()
+        # call until the scraper's first successful read (bounded, so a
+        # dead endpoint fails the assertion below instead of hanging).
+        run = StreamRuntime.run
+
+        def run_after_first_scrape(self, *args, **kwargs):
+            first_scrape.wait(timeout=30)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamRuntime, "run", run_after_first_scrape)
 
         def scrape():
             while not done.is_set():
                 try:
                     with urllib.request.urlopen(url, timeout=1) as response:
                         scraped.append(response.read().decode("utf-8"))
+                    first_scrape.set()
                 except OSError:
                     pass
                 time.sleep(0.01)

@@ -144,6 +144,24 @@ class TestOnlineRun:
         result = OnlineSimulator(MTAAssigner(), None).run(make_instance(tasks), arrivals)
         assert result.total_cpu_seconds > 0.0
 
+    def test_rounds_reach_the_assigner_prepared(self):
+        """Feasibility and influence are built before the assigner (and its
+        CPU timer) runs; entropy stays lazy."""
+        seen = []
+
+        class Recording(MTAAssigner):
+            def assign(self, prepared):
+                seen.append(set(prepared.__dict__))
+                return super().assign(prepared)
+
+        tasks = [make_task(i, float(i), 0.0, published=0.0) for i in range(3)]
+        arrivals = [make_arrival(i, float(i), 0.5, at=0.0) for i in range(3)]
+        OnlineSimulator(Recording(), None).run(make_instance(tasks), arrivals)
+        assert seen
+        for cached in seen:
+            assert {"feasible", "influence_matrix"} <= cached
+            assert "entropy_by_task" not in cached
+
 
 class TestDayArrivals:
     def test_arrivals_sorted_and_unique(self, tiny_dataset):

@@ -131,19 +131,6 @@ class TestOnlineSimulatorEquivalence:
             r.assigned for r in streamed.rounds
         ]
 
-    def test_incremental_matches_full_recompute(self, tiny_dataset, tiny_instance,
-                                                fitted_models):
-        _, log = day_stream(tiny_dataset, 6)
-        incremental = StreamRuntime(
-            IAAssigner(), fitted_models.influence_model(), TimeWindowTrigger(4.0),
-            tiny_instance, log,
-        ).run()
-        full = StreamRuntime(
-            IAAssigner(), fitted_models.influence_model(), TimeWindowTrigger(4.0),
-            tiny_instance, log, incremental=False,
-        ).run()
-        assert pairs(incremental) == pairs(full)
-
 
 class TestTriggerBehaviour:
     def test_count_trigger_fires_at_nth_admission(self):
@@ -366,19 +353,6 @@ class TestEdgeCases:
         summary = result.summary()
         assert summary.assigned == 1
         assert summary.rounds == len(result.rounds)
-
-    def test_live_task_index_tracks_pools(self):
-        tasks = [make_task(i, 2.0 * i, published=0.0, phi=3.0) for i in range(5)]
-        arrivals = [make_arrival(9, 0.0, 0.0, at=0.0, radius=3.0)]
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
-            make_instance(tasks), log_from_arrivals(arrivals, tasks),
-            end_time=4.0,
-        )
-        runtime.run(max_rounds=1)
-        assert len(runtime.state.task_index) == runtime.state.num_open_tasks == 4
-        runtime.run()  # the t=4 round drains the t=3 expiries
-        assert len(runtime.state.task_index) == runtime.state.num_open_tasks == 0
 
 
 class TestAdmissionControllerValidation:

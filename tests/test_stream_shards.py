@@ -219,11 +219,10 @@ class TestShardedRoundDeterminism:
         base, log = clustered_world()
         plain = StreamRuntime(
             IAAssigner(), None, TimeWindowTrigger(1.0), base, log,
-            incremental=False,
         ).run()
         runtime = StreamRuntime(
             IAAssigner(), None, TimeWindowTrigger(1.0), base, log,
-            incremental=False, shards=4, executor="thread",
+            shards=4, executor="thread",
         )
         sharded = runtime.run()
         runtime.close()
@@ -280,17 +279,6 @@ class TestShardExecutor:
             ShardExecutor(layout, backend="gpu")
         with pytest.raises(ValueError):
             ShardExecutor(layout, max_workers=0)
-
-    def test_per_shard_round_states_accumulate(self):
-        base, log = clustered_world()
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
-            shards=4,
-        )
-        runtime.run()
-        executor = runtime.shard_executor
-        assert set(executor.round_states) <= set(range(executor.layout.num_shards))
-        assert len(executor.round_states) > 1  # several shards saw rounds
 
     def test_shard_rngs_spawn_from_user_generator(self):
         _, log = clustered_world(num_workers=20, num_tasks=20)

@@ -1,4 +1,4 @@
-"""Tests for repro.stream.state — live pools and the spatial task index."""
+"""Tests for repro.stream.state — live pools and round preparation."""
 
 import pytest
 
@@ -47,7 +47,6 @@ class TestEventApplication:
         assert state.num_open_tasks == 1
         assert state.arrived_at[3] == pytest.approx(1.0)
         assert state.published_at[7] == pytest.approx(2.0)
-        assert len(state.task_index) == 1
 
     def test_rearrival_replaces_worker(self, state):
         state.apply(WorkerArrivalEvent(time=1.0, worker=make_worker(3, x=0.0)))
@@ -60,9 +59,6 @@ class TestEventApplication:
         state.apply(TaskPublishEvent(time=0.0, task=make_task(7, x=1.0)))
         state.apply(TaskPublishEvent(time=1.0, task=make_task(7, x=30.0)))
         assert state.num_open_tasks == 1
-        assert len(state.task_index) == 1
-        near = list(state.tasks_near(Point(30.0, 0.0), 1.0))
-        assert [t.task_id for t in near] == [7]
 
     def test_cancel_and_expiry_remove_tasks(self, state):
         state.apply(TaskPublishEvent(time=0.0, task=make_task(1)))
@@ -70,7 +66,6 @@ class TestEventApplication:
         state.apply(TaskCancelEvent(time=1.0, task_id=1))
         state.apply(TaskExpiryEvent(time=5.0, task_id=2))
         assert state.num_open_tasks == 0
-        assert len(state.task_index) == 0
 
     def test_cancel_unknown_task_is_noop(self, state):
         state.apply(TaskCancelEvent(time=1.0, task_id=99))
@@ -100,7 +95,6 @@ class TestSweeps:
         expired = state.expire_tasks(2.5)
         assert [t.task_id for t in expired] == [1]
         assert state.num_open_tasks == 1
-        assert len(state.task_index) == 1
 
     def test_churn_workers_strict_patience(self, state):
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1)))
@@ -112,12 +106,6 @@ class TestSweeps:
 
 
 class TestQueriesAndRounds:
-    def test_tasks_near_uses_live_index(self, state):
-        state.apply(TaskPublishEvent(time=0.0, task=make_task(1, x=1.0)))
-        state.apply(TaskPublishEvent(time=0.0, task=make_task(2, x=100.0)))
-        near = sorted(t.task_id for t in state.tasks_near(Point(0.0, 0.0), 5.0))
-        assert near == [1]
-
     def test_round_instance_sorted_and_timed(self, state):
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(5)))
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(2)))
@@ -136,7 +124,6 @@ class TestQueriesAndRounds:
         assert waits == [(pytest.approx(1.5), pytest.approx(2.0))]
         assert state.num_online_workers == 0
         assert state.num_open_tasks == 0
-        assert len(state.task_index) == 0
         assert state.arrived_at == {} and state.published_at == {}
 
     def test_timestamp_maps_track_pools_on_every_retirement(self, state):
@@ -153,11 +140,21 @@ class TestQueriesAndRounds:
         assert state.arrived_at == {}
 
     def test_non_incremental_preparation(self):
-        state = StreamState(make_instance(), influence=None, incremental=False)
+        state = StreamState(make_instance(), influence=None)
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1)))
         state.apply(TaskPublishEvent(time=0.0, task=make_task(7)))
         prepared = state.prepare_round(0.0)
         assert prepared.feasible.num_feasible == 1
+
+    def test_prepare_round_builds_feasibility_and_influence(self, state):
+        """The prepare phase carries feasibility and influence; entropy stays
+        lazy (only EIA reads it)."""
+        state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1)))
+        state.apply(TaskPublishEvent(time=0.0, task=make_task(7)))
+        prepared = state.prepare_round(0.0)
+        assert "feasible" in prepared.__dict__
+        assert "influence_matrix" in prepared.__dict__
+        assert "entropy_by_task" not in prepared.__dict__
 
 
 class TestRelocation:
@@ -193,7 +190,7 @@ class TestRelocation:
 
     def test_relocation_feeds_next_round_feasibility(self, state):
         """After relocating, a previously unreachable task becomes the
-        worker's match — the RoundState caches must not serve stale rows."""
+        worker's match — the next round must see the new location."""
         from repro.stream import WorkerRelocateEvent
 
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1, radius=4.0)))
